@@ -149,6 +149,7 @@ pub fn execute(command: Command) -> Result<String, CliError> {
                 profile_every_ms,
                 ingest_delay_ms,
                 state_dir,
+                max_connections: crate::serve::MAX_CONNECTIONS,
             },
         ),
         Command::Trace { addr, id } => trace(&addr, id.as_deref()),

@@ -1,8 +1,9 @@
 //! `bed serve` — a hand-rolled HTTP/1.1 query server over a live ingest.
 //!
-//! The container builds offline, so there is no HTTP framework: a
-//! non-blocking [`TcpListener`] accept loop parses just enough of HTTP/1.1
-//! to answer a handful of routes, always closing the connection afterwards:
+//! The workspace takes no third-party dependencies, so there is no HTTP
+//! framework: a blocking [`TcpListener`] accept loop parses just enough of
+//! HTTP/1.1 to answer a handful of routes, keeping connections alive
+//! between requests:
 //!
 //! - `GET`/`POST /query` — one of the five canonical [`QueryRequest`]
 //!   kinds, as query-string parameters or a JSON body. Answers come from
@@ -36,24 +37,40 @@
 //! periodic traced "watch" bursty-event query so the slow log and query
 //! metrics carry live content without an external client.
 //!
-//! Each accepted connection is handled on its own scoped thread. That
-//! keeps a slow client from stalling other requests, and it is also the
-//! shutdown correctness story: `SIGTERM`/`SIGINT` flips an [`AtomicBool`],
-//! the accept loop stops accepting within one poll interval, and the
-//! enclosing [`std::thread::scope`] joins every in-flight connection
-//! thread — a response that was being written when the signal arrived is
-//! always finished before the listener closes and the process exits.
+//! ## Request lifecycle
+//!
+//! Each accepted connection is handled on its own scoped thread, up to
+//! `MAX_CONNECTIONS` (64) at once; a connection over the cap gets one `503`
+//! with `Connection: close` from the accept thread. A connection thread
+//! builds one [`EpochView`] and one [`QueryScratch`] and then loops read →
+//! respond → write, so warm queries on a kept connection allocate neither,
+//! and its answers never step back a generation. Requests are read through
+//! one per-connection buffer (a pipelined next request is kept, not
+//! dropped); each response goes out in one write on a `TCP_NODELAY`
+//! socket. The connection closes after a response when the client asked
+//! for `Connection: close` or spoke HTTP/1.0, after a `413` or a read
+//! error, after 500 ms (`IDLE_TIMEOUT`) without a byte, or once shutdown
+//! began.
+//!
+//! Shutdown: `SIGTERM`/`SIGINT` flips an [`AtomicBool`]. A blocking
+//! `accept` restarts after the signal handler returns, so a small thread
+//! watches the flag in 50 ms slices (`STOP_POLL`) and wakes `accept` by
+//! connecting once to the bound address. Idle connections notice the flag
+//! within one slice too. The enclosing [`std::thread::scope`] joins every
+//! connection thread — a response that was being read or written when the
+//! signal arrived is always finished (and carries `Connection: close`)
+//! before the listener closes and the process exits.
 
 use std::io::{ErrorKind, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bed_core::{
     AnyDetector, BurstQueries as _, BurstSpan, CheckpointPolicy, DetectorEpochs, EpochPublisher,
-    EventId, Profiler, QueryRequest, QueryResponse, QueryScratch, QueryStrategy, TimeRange,
-    Timestamp, TraceId, Traceable as _, Tracer, TracerConfig, Watermark,
+    EpochView, EventId, Profiler, QueryRequest, QueryResponse, QueryScratch, QueryStrategy,
+    TimeRange, Timestamp, TraceId, Traceable as _, Tracer, TracerConfig, Watermark,
 };
 
 use crate::args::DetectorFlags;
@@ -69,6 +86,15 @@ const MAX_HEADER_BYTES: usize = 8 * 1024;
 /// Request bodies larger than this are refused with `413` before being
 /// read — a query body is a few hundred bytes.
 const MAX_BODY_BYTES: usize = 64 * 1024;
+/// Connections answered at once; one more gets a `503` from the accept
+/// thread. Each live connection holds one scoped thread.
+pub(crate) const MAX_CONNECTIONS: usize = 64;
+/// A kept-alive connection that sends nothing for this long is closed; a
+/// request stalled this long mid-way is answered from what arrived.
+const IDLE_TIMEOUT: Duration = Duration::from_millis(500);
+/// Slice in which blocked reads and the shutdown watcher re-check the stop
+/// flag: shutdown waits at most about this long for an idle connection.
+const STOP_POLL: Duration = Duration::from_millis(50);
 
 const CT_TEXT: &str = "text/plain; charset=utf-8";
 const CT_JSON: &str = "application/json; charset=utf-8";
@@ -109,6 +135,9 @@ pub(crate) struct ServeOptions {
     /// Directory `/readyz` probes for writability (WAL/checkpoint home).
     /// `None` skips the probe: readiness is then epoch-publication only.
     pub state_dir: Option<String>,
+    /// Live connections answered at once ([`MAX_CONNECTIONS`] from the
+    /// CLI; tests lower it to reach the cap with a few sockets).
+    pub max_connections: usize,
 }
 
 /// Everything a connection handler needs, shared across the scoped
@@ -121,6 +150,10 @@ struct ServeCtx {
     profiler: Profiler,
     /// Directory `/readyz` probes for writability (`None` skips it).
     state_dir: Option<String>,
+    /// Requests answered, over every connection.
+    requests: AtomicU64,
+    /// Connections being answered now (each holds a scoped thread).
+    live: AtomicUsize,
 }
 
 impl ServeCtx {
@@ -203,14 +236,14 @@ fn serve_until(
         tracer,
         profiler: Profiler::with_default_stages(),
         state_dir: opts.state_dir.clone(),
+        requests: AtomicU64::new(0),
+        live: AtomicUsize::new(0),
     };
 
     let listener = TcpListener::bind(&opts.addr)?;
-    listener.set_nonblocking(true)?;
     let bound = listener.local_addr()?;
     on_bound(bound);
 
-    let requests = AtomicU64::new(0);
     let ingested = AtomicU64::new(0);
 
     let result = std::thread::scope(|scope| {
@@ -218,9 +251,10 @@ fn serve_until(
         if opts.profile_every_ms > 0 {
             scope.spawn(|| profile_loop(&ctx, stop, opts.profile_every_ms));
         }
-        let r = accept_loop(&listener, scope, &ctx, stop, &requests);
+        scope.spawn(|| wake_accept_on_stop(bound, stop));
+        let r = accept_loop(&listener, scope, &ctx, stop, opts.max_connections);
         // Any exit from the accept loop (including an error) must release
-        // the ingest thread before the scope joins it. Connection threads
+        // the other threads before the scope joins them. Connection threads
         // already spawned keep running: the scope join below is what
         // guarantees an in-flight response finishes after a signal.
         stop.store(true, Ordering::SeqCst);
@@ -230,40 +264,84 @@ fn serve_until(
 
     Ok(format!(
         "served {} requests on {bound}; ingested {}/{total} elements; published {} epochs\n",
-        requests.load(Ordering::Relaxed),
+        ctx.requests.load(Ordering::Relaxed),
         ingested.load(Ordering::Relaxed),
         ctx.epochs.generation(),
     ))
 }
 
-/// Polls for connections until `stop`, answering each on its own scoped
-/// thread. A failure on one connection never takes the server down.
+/// Accepts connections until `stop`, answering each on its own scoped
+/// thread while fewer than `max_connections` are live. A failure on one
+/// connection never takes the server down.
 fn accept_loop<'scope>(
     listener: &TcpListener,
     scope: &'scope std::thread::Scope<'scope, '_>,
     ctx: &'scope ServeCtx,
-    stop: &AtomicBool,
-    requests: &'scope AtomicU64,
+    stop: &'scope AtomicBool,
+    max_connections: usize,
 ) -> Result<(), CliError> {
     while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                scope.spawn(move || {
-                    requests.fetch_add(1, Ordering::Relaxed);
-                    let _ = handle_connection(stream, ctx);
-                });
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::ConnectionAborted) => {
+                continue
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                // Polling (rather than a blocking accept) keeps the loop
-                // responsive to the shutdown flag: a blocking accept would
-                // simply restart after the signal handler returns.
-                std::thread::sleep(Duration::from_millis(15));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(CliError::Io(e)),
+        };
+        if stop.load(Ordering::SeqCst) {
+            break; // the shutdown watcher's wake-up, or a client too late
         }
+        // Only this thread adds connections, so check-then-add cannot race
+        // past the cap; connection threads only ever free slots.
+        if ctx.live.load(Ordering::SeqCst) >= max_connections {
+            refuse_over_cap(stream, max_connections);
+            continue;
+        }
+        ctx.live.fetch_add(1, Ordering::SeqCst);
+        scope.spawn(move || {
+            let _ = handle_connection(stream, ctx, stop);
+            ctx.live.fetch_sub(1, Ordering::SeqCst);
+        });
     }
     Ok(())
+}
+
+/// Answers a connection over the cap with one `503` and closes it.
+fn refuse_over_cap(mut stream: TcpStream, max_connections: usize) {
+    // Take what the client already sent (up to a header's worth, without
+    // waiting): closing a socket with unread bytes resets the connection,
+    // and the reset can destroy the `503` before the client reads it.
+    let _ = stream.set_nonblocking(true);
+    let mut sink = [0u8; 1024];
+    let mut drained = 0;
+    while drained <= MAX_HEADER_BYTES {
+        match stream.read(&mut sink) {
+            Ok(n) if n > 0 => drained += n,
+            _ => break,
+        }
+    }
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_write_timeout(Some(STOP_POLL));
+    let body = error_body(&format!("over capacity: {max_connections} connections are open"));
+    let _ = write_response(&mut stream, "503 Service Unavailable", CT_JSON, &body, true);
+}
+
+/// Waits for `stop`, then wakes the blocked `accept` by connecting once to
+/// the bound address (an unspecified address is reached on loopback).
+fn wake_accept_on_stop(bound: SocketAddr, stop: &AtomicBool) {
+    while !stop.load(Ordering::SeqCst) {
+        std::thread::sleep(STOP_POLL);
+    }
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    // Best effort: when the accept loop already left (an accept error set
+    // the flag), nobody needs waking and the connection goes nowhere.
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 /// Drains the stream into the detector in small locked chunks, publishing
@@ -373,32 +451,55 @@ fn profile_loop(ctx: &ServeCtx, stop: &AtomicBool, every_ms: u64) {
     }
 }
 
-/// Answers one request on `stream` and closes it.
-fn handle_connection(mut stream: TcpStream, ctx: &ServeCtx) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
+/// Per-connection query state, built once when the connection opens:
+/// warm queries on a kept connection allocate neither a view nor a scratch,
+/// and one view's answers never step back a generation.
+struct ConnQueries<'a> {
+    view: EpochView<'a>,
+    scratch: QueryScratch,
+}
+
+/// Answers requests on `stream` until the client or the server ends the
+/// connection (see the module docs for when that is).
+fn handle_connection(stream: TcpStream, ctx: &ServeCtx, stop: &AtomicBool) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(STOP_POLL))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let request = match read_request(&mut stream)? {
-        ReadOutcome::Request(r) => r,
-        ReadOutcome::Empty => return Ok(()),
-        ReadOutcome::TooLarge => {
-            return write_response(
-                &mut stream,
+    let mut conn = Conn { stream, buf: Vec::with_capacity(1024) };
+    let mut queries = ConnQueries { view: ctx.epochs.view(), scratch: QueryScratch::new() };
+    loop {
+        let (status, content_type, body, close) = match read_request(&mut conn, stop)? {
+            ReadOutcome::Request(request) => {
+                let (status, content_type, body) = respond(&request, ctx, &mut queries);
+                (status, content_type, body, request.close)
+            }
+            ReadOutcome::Closed => return Ok(()),
+            ReadOutcome::TooLarge => (
                 "413 Payload Too Large",
                 CT_JSON,
-                &error_body(&format!("request larger than {MAX_BODY_BYTES} bytes")),
-            );
+                error_body(&format!("request larger than {MAX_BODY_BYTES} bytes")),
+                true,
+            ),
+        };
+        // Once shutdown began, the response in flight is the last one.
+        let close = close || stop.load(Ordering::SeqCst);
+        write_response(&mut conn.stream, status, content_type, &body, close)?;
+        ctx.requests.fetch_add(1, Ordering::Relaxed);
+        if close {
+            return Ok(());
         }
-    };
-    let (status, content_type, body) = respond(&request, ctx);
-    write_response(&mut stream, status, content_type, &body)
+    }
 }
 
 /// Routes one parsed request. Unknown paths get `404`; known paths with
 /// the wrong method get `405`; `/query` failures get typed `400`s.
-fn respond(req: &Request, ctx: &ServeCtx) -> (&'static str, &'static str, String) {
+fn respond(
+    req: &Request,
+    ctx: &ServeCtx,
+    queries: &mut ConnQueries<'_>,
+) -> (&'static str, &'static str, String) {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET" | "POST", "/query") => query_route(req, ctx),
+        ("GET" | "POST", "/query") => query_route(req, ctx, queries),
         ("GET", "/metrics") => {
             // Refresh the staleness gauges from the live watermark before
             // merging, so scrapes see the current epoch age / arrival lag.
@@ -463,7 +564,11 @@ fn trace_route(path: &str, ctx: &ServeCtx) -> (&'static str, &'static str, Strin
 
 /// `/query`: decode the request (query string or JSON body), answer it
 /// from the latest published epoch, and stamp the answer with that epoch.
-fn query_route(req: &Request, ctx: &ServeCtx) -> (&'static str, &'static str, String) {
+fn query_route(
+    req: &Request,
+    ctx: &ServeCtx,
+    queries: &mut ConnQueries<'_>,
+) -> (&'static str, &'static str, String) {
     let fields = if req.method == "POST" {
         match json::parse(&req.body) {
             Ok(v @ Json::Obj(_)) => v,
@@ -495,33 +600,24 @@ fn query_route(req: &Request, ctx: &ServeCtx) -> (&'static str, &'static str, St
         Err(e) => return bad_request(&e),
     };
     let explain = field_flag(&fields, "explain");
-    // A view per connection: each handler thread gets its own cursors and
-    // scratch, so concurrent queries never contend with each other (or
-    // with ingest — the epoch read path is lock-free).
-    let view = ctx.epochs.view();
-    let mut scratch = QueryScratch::new();
+    // The connection's own view and scratch: concurrent connections never
+    // contend with each other (or with ingest — the epoch read path is
+    // lock-free).
+    let ConnQueries { view, scratch } = queries;
     scratch.trace_id = trace_id;
     scratch.explain = explain;
-    if explain {
-        // Arm stage timing here: the bursty-event fan-out probes shard
-        // epochs directly (no per-shard tracing root to arm it), and the
-        // per-event paths re-arm on entry anyway.
-        scratch.stages.reset(true);
-    }
+    // Arm stage timing for an explain here: the bursty-event fan-out
+    // probes shard epochs directly (no per-shard tracing root to arm it),
+    // and the per-event paths re-arm on entry anyway. Disarm otherwise, so
+    // an earlier explain on this connection does not leave clocks running.
+    scratch.stages.reset(explain);
     let started = Instant::now();
-    let result = view.query_reusing(&request, &mut scratch);
+    let result = view.query_reusing(&request, scratch);
     let root_ns = started.elapsed().as_nanos() as u64;
     match result {
         Ok(response) => {
             let explain_block = explain.then(|| {
-                render_explain(
-                    &request,
-                    &response,
-                    &scratch,
-                    root_ns,
-                    ctx,
-                    view.answer_generation(),
-                )
+                render_explain(&request, &response, scratch, root_ns, ctx, view.answer_generation())
             });
             (
                 "200 OK",
@@ -815,62 +911,99 @@ fn render_answer(
     out
 }
 
-/// One parsed request: method, path, query string, and body (decoded
-/// lossily — query bodies are ASCII JSON).
+/// One parsed request: method, path, query string, body (decoded lossily
+/// — query bodies are ASCII JSON), and whether the connection closes after
+/// its answer.
 struct Request {
     method: String,
     path: String,
     query: String,
     body: String,
+    close: bool,
 }
 
 enum ReadOutcome {
     Request(Request),
     /// Headers or declared body exceed the caps → `413`.
     TooLarge,
-    /// Nothing (parseable) arrived; close silently.
-    Empty,
+    /// The client hung up, sent nothing parseable, or stayed idle past the
+    /// timeout or into shutdown; close silently.
+    Closed,
+}
+
+/// An accepted socket plus the bytes read from it but not yet consumed, so
+/// a pipelined next request survives the parse of the current one.
+struct Conn {
+    stream: TcpStream,
+    buf: Vec<u8>,
+}
+
+impl Conn {
+    /// Waits up to one [`STOP_POLL`] slice for more bytes. Returns `false`
+    /// once the client hung up, or sent nothing for [`IDLE_TIMEOUT`] since
+    /// `since` (moved forward whenever bytes arrive).
+    fn fill(&mut self, since: &mut Instant) -> std::io::Result<bool> {
+        let mut chunk = [0u8; 1024];
+        match self.stream.read(&mut chunk) {
+            Ok(0) => Ok(false),
+            Ok(n) => {
+                self.buf.extend_from_slice(&chunk[..n]);
+                *since = Instant::now();
+                Ok(true)
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => Ok(true),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                Ok(since.elapsed() < IDLE_TIMEOUT)
+            }
+            Err(e) => Err(e),
+        }
+    }
 }
 
 /// Reads one request: headers up to `\r\n\r\n` (capped), then as much of
 /// the declared `Content-Length` body as the client sends (capped, before
-/// any of it is buffered). A stalled client's request is served from
-/// whatever arrived — exactly like the previous scrape-only server.
-fn read_request(stream: &mut TcpStream) -> std::io::Result<ReadOutcome> {
-    let mut buf = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
+/// any of it is buffered). A request stalled for [`IDLE_TIMEOUT`] is served
+/// from whatever arrived and then closes the connection; a connection idle
+/// that long, or idle when `stop` is set, is closed without an answer.
+fn read_request(conn: &mut Conn, stop: &AtomicBool) -> std::io::Result<ReadOutcome> {
+    let mut since = Instant::now();
+    let mut cut_short = false;
     let header_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+        if let Some(pos) = conn.buf.windows(4).position(|w| w == b"\r\n\r\n") {
             break pos + 4;
         }
-        if buf.len() > MAX_HEADER_BYTES {
+        if conn.buf.len() > MAX_HEADER_BYTES {
             return Ok(ReadOutcome::TooLarge);
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => break buf.len(),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                break buf.len()
-            }
-            Err(e) => return Err(e),
+        if !conn.fill(&mut since)? {
+            cut_short = true;
+            break conn.buf.len();
+        }
+        // Checked after a read, so bytes already sent are never dropped.
+        if conn.buf.is_empty() && stop.load(Ordering::SeqCst) {
+            return Ok(ReadOutcome::Closed);
         }
     };
 
-    let head = String::from_utf8_lossy(&buf[..header_end.min(buf.len())]).into_owned();
+    let head = String::from_utf8_lossy(&conn.buf[..header_end]).into_owned();
     let mut lines = head.lines();
     let mut parts = lines.next().unwrap_or("").split_whitespace();
-    let (method, target) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+    let (method, target, version) =
+        (parts.next().unwrap_or(""), parts.next().unwrap_or(""), parts.next().unwrap_or(""));
     if method.is_empty() || target.is_empty() {
-        return Ok(ReadOutcome::Empty);
+        return Ok(ReadOutcome::Closed);
     }
     let (path, query) = target.split_once('?').unwrap_or((target, ""));
 
     let mut content_length = 0usize;
+    let mut close = version != "HTTP/1.1";
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
+            let name = name.trim();
+            if name.eq_ignore_ascii_case("content-length") {
                 content_length = value.trim().parse().unwrap_or(0);
+            } else if name.eq_ignore_ascii_case("connection") {
+                close |= value.split(',').any(|token| token.trim().eq_ignore_ascii_case("close"));
             }
         }
     }
@@ -879,43 +1012,45 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<ReadOutcome> {
         return Ok(ReadOutcome::TooLarge);
     }
 
-    let mut body = buf[header_end.min(buf.len())..].to_vec();
-    while body.len() < content_length {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
-            Err(e) => return Err(e),
-        }
+    while !cut_short && conn.buf.len() < header_end + content_length {
+        cut_short = !conn.fill(&mut since)?;
     }
-    body.truncate(content_length);
+    let body_end = conn.buf.len().min(header_end + content_length);
+    let body = String::from_utf8_lossy(&conn.buf[header_end..body_end]).into_owned();
+    conn.buf.drain(..body_end);
     Ok(ReadOutcome::Request(Request {
         method: method.to_string(),
         path: path.to_string(),
         query: query.to_string(),
-        body: String::from_utf8_lossy(&body).into_owned(),
+        body,
+        // A request cut short leaves the stream's framing unknown.
+        close: close || cut_short,
     }))
 }
 
+/// Writes one response, head and body in a single write: on a kept
+/// connection a separate small head write can stall in Nagle's algorithm
+/// against the client's delayed ACK.
 fn write_response(
     stream: &mut TcpStream,
     status: &str,
     content_type: &str,
     body: &str,
+    close: bool,
 ) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    let connection = if close { "close" } else { "keep-alive" };
+    let mut response = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    response.push_str(body);
+    stream.write_all(response.as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead as _, BufReader};
     use std::sync::mpsc;
 
     fn fixture(name: &str) -> String {
@@ -958,6 +1093,47 @@ mod tests {
         (resp[..split].to_string(), resp[split + 4..].to_string())
     }
 
+    /// Reads one response off a kept connection, framed by its
+    /// `Content-Length`: `(head, body)`.
+    fn read_response(conn: &mut BufReader<TcpStream>) -> (String, String) {
+        let mut head = String::new();
+        loop {
+            let mut line = String::new();
+            assert!(conn.read_line(&mut line).unwrap() > 0, "EOF inside a head: {head}");
+            if line == "\r\n" {
+                break;
+            }
+            head.push_str(&line);
+        }
+        let length = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .and_then(|v| v.parse::<usize>().ok())
+            .unwrap_or_else(|| panic!("no length in {head}"));
+        let mut body = vec![0; length];
+        conn.read_exact(&mut body).unwrap();
+        (head, String::from_utf8(body).unwrap())
+    }
+
+    /// Sends `GET path` on a kept connection and reads its answer.
+    fn get_on(conn: &mut BufReader<TcpStream>, path: &str) -> (String, String) {
+        write!(conn.get_mut(), "GET {path} HTTP/1.1\r\nHost: bed\r\n\r\n").unwrap();
+        read_response(conn)
+    }
+
+    fn connect(addr: SocketAddr) -> BufReader<TcpStream> {
+        let s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        BufReader::new(s)
+    }
+
+    /// Whether the server closed `conn`: the next read hits EOF.
+    fn at_eof(conn: &mut BufReader<TcpStream>) -> bool {
+        let mut rest = Vec::new();
+        conn.read_to_end(&mut rest).unwrap();
+        rest.is_empty()
+    }
+
     fn flags(shards: usize) -> DetectorFlags {
         DetectorFlags {
             variant: "pbe2".into(),
@@ -985,6 +1161,7 @@ mod tests {
             profile_every_ms: 20,
             ingest_delay_ms: 0,
             state_dir: None,
+            max_connections: MAX_CONNECTIONS,
         }
     }
 
@@ -1411,6 +1588,140 @@ mod tests {
             // explain=0 and absence both skip the block.
             let (_, body) = get(addr, "/query?kind=point&event=2&t=299&tau=40&explain=0");
             assert!(!body.contains("\"explain\""), "{body}");
+        });
+    }
+
+    #[test]
+    fn keep_alive_answers_sequential_queries_on_one_connection() {
+        let input = fixture("serve-keepalive.tsv");
+        let mut answered = 0;
+        let summary = with_server(&input, &flags(2), &opts(64, 0), |addr| {
+            let mut conn = connect(addr);
+            // Readiness polled on the same connection, counted as we go.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let (head, _) = get_on(&mut conn, "/readyz");
+                answered += 1;
+                if head.starts_with("HTTP/1.1 200") {
+                    break;
+                }
+                assert!(Instant::now() < deadline, "server never became ready: {head}");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            let mut generations = Vec::new();
+            for event in 0..5 {
+                let (head, body) =
+                    get_on(&mut conn, &format!("/query?kind=point&event={event}&t=200&tau=40"));
+                answered += 1;
+                assert!(head.starts_with("HTTP/1.1 200"), "{head} {body}");
+                assert!(head.contains("Connection: keep-alive"), "{head}");
+                generations.push(json_u64(&body, "generation"));
+            }
+            // One view per connection: answers never step back an epoch.
+            assert!(generations.windows(2).all(|w| w[0] <= w[1]), "{generations:?}");
+        });
+        // Requests are counted, not connections: every answer above came
+        // over one connection.
+        assert!(summary.starts_with(&format!("served {answered} requests ")), "{summary}");
+    }
+
+    #[test]
+    fn pipelined_requests_in_one_write_are_all_answered() {
+        let input = fixture("serve-pipeline.tsv");
+        with_server(&input, &flags(1), &opts(128, 0), |addr| {
+            wait_ready(addr);
+            let body = r#"{"kind":"point","event":2,"t":200,"tau":40}"#;
+            let mut conn = connect(addr);
+            write!(
+                conn.get_mut(),
+                "POST /query HTTP/1.1\r\nHost: bed\r\nContent-Length: {}\r\n\r\n{body}\
+                 GET /livez HTTP/1.1\r\nHost: bed\r\n\r\n",
+                body.len()
+            )
+            .unwrap();
+            let (head, answer) = read_response(&mut conn);
+            assert!(head.starts_with("HTTP/1.1 200"), "{head} {answer}");
+            assert!(answer.contains("\"kind\":\"point\""), "{answer}");
+            let (head, answer) = read_response(&mut conn);
+            assert!(head.starts_with("HTTP/1.1 200"), "{head} {answer}");
+            assert_eq!(answer, "ok\n");
+        });
+    }
+
+    #[test]
+    fn close_requests_and_http10_end_the_connection() {
+        let input = fixture("serve-close.tsv");
+        with_server(&input, &flags(1), &opts(128, 0), |addr| {
+            for request in [
+                "GET /livez HTTP/1.1\r\nHost: bed\r\nConnection: close\r\n\r\n",
+                "GET /livez HTTP/1.0\r\n\r\n",
+            ] {
+                let mut conn = connect(addr);
+                conn.get_mut().write_all(request.as_bytes()).unwrap();
+                let (head, body) = read_response(&mut conn);
+                assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+                assert!(head.contains("Connection: close"), "{head}");
+                assert_eq!(body, "ok\n");
+                assert!(at_eof(&mut conn), "{request:?} left the connection open");
+            }
+        });
+    }
+
+    #[test]
+    fn payload_too_large_closes_the_connection() {
+        let input = fixture("serve-413.tsv");
+        with_server(&input, &flags(1), &opts(128, 0), |addr| {
+            let mut conn = connect(addr);
+            let (head, _) = get_on(&mut conn, "/livez");
+            assert!(head.contains("Connection: keep-alive"), "{head}");
+            write!(
+                conn.get_mut(),
+                "POST /query HTTP/1.1\r\nHost: bed\r\nContent-Length: 100000\r\n\r\n"
+            )
+            .unwrap();
+            let (head, body) = read_response(&mut conn);
+            assert!(head.starts_with("HTTP/1.1 413"), "{head} {body}");
+            assert!(head.contains("Connection: close"), "{head}");
+            assert!(at_eof(&mut conn), "413 left the connection open");
+        });
+    }
+
+    #[test]
+    fn connections_over_the_cap_get_503_until_a_slot_frees() {
+        let input = fixture("serve-cap.tsv");
+        let mut o = opts(128, 0);
+        o.max_connections = 2;
+        with_server(&input, &flags(1), &o, |addr| {
+            // Two kept connections, each answered once: both hold a slot.
+            let mut held: Vec<_> = (0..2).map(|_| connect(addr)).collect();
+            for conn in &mut held {
+                let (head, _) = get_on(conn, "/livez");
+                assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            }
+            // A third is refused by the accept thread without a request.
+            let mut third = connect(addr);
+            let (head, body) = read_response(&mut third);
+            assert!(head.starts_with("HTTP/1.1 503"), "{head} {body}");
+            assert!(head.contains("Connection: close"), "{head}");
+            assert!(body.contains("over capacity"), "{body}");
+            assert!(at_eof(&mut third));
+
+            // One client hangs up; its slot frees once its thread notices.
+            drop(held.pop());
+            // A refused probe may see its 503 or a reset, depending on
+            // whether the request beat the close.
+            let probe = || -> std::io::Result<String> {
+                let mut conn = connect(addr);
+                write!(conn.get_mut(), "GET /livez HTTP/1.1\r\nHost: bed\r\n\r\n")?;
+                let mut status = String::new();
+                conn.read_line(&mut status)?;
+                Ok(status)
+            };
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !probe().is_ok_and(|status| status.starts_with("HTTP/1.1 200")) {
+                assert!(Instant::now() < deadline, "the slot never freed");
+                std::thread::sleep(Duration::from_millis(10));
+            }
         });
     }
 }

@@ -5,17 +5,19 @@
 //! `SIGTERM`, then completes the request — the full `200` response must
 //! still arrive, and the process must exit cleanly with its summary line.
 //! (The serve loop joins every in-flight connection thread before the
-//! listener closes; this pins that from outside the process.)
+//! listener closes; this pins that from outside the process.) An idle
+//! kept-alive connection must not hold the shutdown up either.
 
 #![cfg(unix)]
 
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::TcpStream;
-use std::process::{Command, Stdio};
-use std::time::Duration;
+use std::process::{Child, ChildStdout, Command, Stdio};
+use std::time::{Duration, Instant};
 
-#[test]
-fn sigterm_mid_request_finishes_the_response() {
+/// Starts `bed serve` on port 0 over a small fixture stream; returns the
+/// child, its stdout (past the listening line), and the bound address.
+fn spawn_serve() -> (Child, BufReader<ChildStdout>, String) {
     let dir = std::env::temp_dir().join("bed-kill-tests");
     std::fs::create_dir_all(&dir).unwrap();
     let input = dir.join("stream.tsv");
@@ -53,6 +55,20 @@ fn sigterm_mid_request_finishes_the_response() {
         .and_then(|rest| rest.split('/').next())
         .unwrap_or_else(|| panic!("no listen address in {line:?}"))
         .to_string();
+    (child, stdout, addr)
+}
+
+fn sigterm(child: &Child) {
+    let status = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("send SIGTERM");
+    assert!(status.success(), "kill failed");
+}
+
+#[test]
+fn sigterm_mid_request_finishes_the_response() {
+    let (mut child, mut stdout, addr) = spawn_serve();
 
     // Open a request and stall halfway through the headers, so the
     // connection handler is mid-read when the signal lands.
@@ -61,11 +77,7 @@ fn sigterm_mid_request_finishes_the_response() {
     stream.flush().unwrap();
     std::thread::sleep(Duration::from_millis(150));
 
-    let status = Command::new("kill")
-        .args(["-TERM", &child.id().to_string()])
-        .status()
-        .expect("send SIGTERM");
-    assert!(status.success(), "kill failed");
+    sigterm(&child);
     std::thread::sleep(Duration::from_millis(150));
 
     // Complete the request only after the shutdown was requested.
@@ -82,4 +94,40 @@ fn sigterm_mid_request_finishes_the_response() {
     let mut rest = String::new();
     stdout.read_to_string(&mut rest).unwrap();
     assert!(rest.contains("served"), "missing summary: {rest:?}");
+}
+
+#[test]
+fn sigterm_with_an_idle_keep_alive_connection_exits_promptly() {
+    let (mut child, mut stdout, addr) = spawn_serve();
+
+    // One answer on a kept connection, which then stays open and idle.
+    let mut conn = BufReader::new(TcpStream::connect(&addr).expect("connect"));
+    write!(conn.get_mut(), "GET /livez HTTP/1.1\r\nHost: bed\r\n\r\n").unwrap();
+    let mut head = String::new();
+    while !head.ends_with("\r\n\r\n") {
+        assert!(conn.read_line(&mut head).unwrap() > 0, "EOF inside the head: {head:?}");
+    }
+    assert!(head.starts_with("HTTP/1.1 200"), "{head:?}");
+    assert!(head.contains("Connection: keep-alive"), "{head:?}");
+    let mut body = [0u8; 3];
+    conn.read_exact(&mut body).unwrap();
+    assert_eq!(&body, b"ok\n");
+
+    sigterm(&child);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait for bed serve") {
+            break status;
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            panic!("bed serve still running 2 s after SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "bed serve exited with {status}");
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).unwrap();
+    assert!(rest.contains("served 1 requests"), "missing summary: {rest:?}");
+    drop(conn);
 }

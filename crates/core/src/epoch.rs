@@ -146,6 +146,21 @@ impl<D> SnapshotCell<D> {
         next
     }
 
+    /// Empties the slot the next [`Self::publish`] will overwrite, so the
+    /// writer can free that epoch before building its replacement. The
+    /// slot holds a generation `EPOCH_SLOTS - 1` behind the newest; a
+    /// reader still chasing it finds the slot's generation changed and
+    /// retries, exactly as if the writer had lapped it.
+    fn retire_next(&self) {
+        let next = self.generation.load(Ordering::Relaxed) + 1;
+        let retired = {
+            let mut slot = self.slots[next as usize % EPOCH_SLOTS].lock().expect("slot lock");
+            slot.generation = 0;
+            slot.epoch.take()
+        };
+        drop(retired); // freed outside the slot lock
+    }
+
     /// Cumulative reader retries on this cell (writer lapped a slot).
     pub fn reader_retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
@@ -308,19 +323,28 @@ impl DetectorEpochs {
         let trace = self.tracer.start_always(SpanName::EPOCH_PUBLISH);
         let started = std::time::Instant::now();
         let watermark = det.watermark();
-        match det {
-            AnyDetector::Plain(d) => {
-                let mut clone = (**d).clone();
-                clone.finalize();
-                self.cells[0].publish(watermark, Arc::new(clone));
-            }
+        // Holding every new clone at once would raise peak memory by a
+        // shard's worth; freeing the epochs about to be overwritten first
+        // keeps it where publishing one cell at a time left it.
+        for cell in &self.cells {
+            cell.retire_next();
+        }
+        let finalized = |d: &BurstDetector| {
+            let mut clone = d.clone();
+            clone.finalize();
+            Arc::new(clone)
+        };
+        let clones: Vec<Arc<BurstDetector>> = match det {
+            AnyDetector::Plain(d) => vec![finalized(d)],
             AnyDetector::Sharded(d) => {
-                for (i, cell) in self.cells.iter().enumerate() {
-                    let mut clone = d.shard(i).clone();
-                    clone.finalize();
-                    cell.publish(watermark, Arc::new(clone));
-                }
+                (0..self.cells.len()).map(|i| finalized(d.shard(i))).collect()
             }
+        };
+        // Every clone is finalized before the first cell moves, so the
+        // cells stand on different generations only for the span of a few
+        // slot stores, not for the length of a clone and finalize.
+        for (cell, data) in self.cells.iter().zip(clones) {
+            cell.publish(watermark, data);
         }
         self.metrics.published(started.elapsed());
         if let Some(trace) = trace {
@@ -463,12 +487,13 @@ impl EpochPublisher {
 /// published epochs of a [`DetectorEpochs`].
 ///
 /// Per-event query kinds refresh only the owning shard's cursor (same
-/// routing as the writer); bursty-event kinds refresh every cursor and
-/// retry until the generation vector is coherent (all cells on the same
-/// publish), then fan out and merge exactly like
-/// [`crate::ShardedDetector`]. Every answer records the epoch it came from
-/// — [`Self::answer_watermark`] is what the concurrency harness checks
-/// against its oracle rebuilds.
+/// routing as the writer), waiting out a publish caught half-way so the
+/// answer's generation is never below the view's previous one;
+/// bursty-event kinds refresh every cursor and retry until the generation
+/// vector is coherent (all cells on the same publish), then fan out and
+/// merge exactly like [`crate::ShardedDetector`]. Every answer records the
+/// epoch it came from — [`Self::answer_watermark`] is what the concurrency
+/// harness checks against its oracle rebuilds.
 #[derive(Debug)]
 pub struct EpochView<'a> {
     epochs: &'a DetectorEpochs,
@@ -539,8 +564,19 @@ impl EpochView<'_> {
                 // The owning shard's universe check covers the full K, so
                 // routing first is safe even for out-of-range ids.
                 let i = if readers.len() == 1 { 0 } else { route(event, readers.len()) };
-                readers[i].refresh(&self.epochs.cells[i]);
-                let epoch = readers[i].current().expect("genesis epoch always published");
+                // Mid-publish the owning cell may still be one generation
+                // behind a cell this view already answered from; wait for
+                // it, so answers on one view never step back.
+                let floor = self.answered.get().0;
+                loop {
+                    readers[i].refresh(&self.epochs.cells[i]);
+                    let current = readers[i].current().expect("genesis epoch always published");
+                    if current.generation >= floor {
+                        break;
+                    }
+                    std::hint::spin_loop();
+                }
+                let epoch = readers[i].current().expect("refreshed above");
                 let response = epoch.data.query_reusing(request, scratch)?;
                 self.answered.set((epoch.generation, epoch.watermark));
                 Ok(response)
@@ -723,6 +759,43 @@ mod tests {
     }
 
     #[test]
+    fn view_answer_generations_never_decrease_mid_publish() {
+        let mut det = sharded(2);
+        ingest_fixture(&mut det, 50);
+        let epochs = DetectorEpochs::new(&det);
+        let AnyDetector::Sharded(d) = &det else { unreachable!() };
+        let watermark = det.watermark();
+        let finalized = |i: usize| {
+            let mut clone = d.shard(i).clone();
+            clone.finalize();
+            Arc::new(clone)
+        };
+        let owned_by = |shard: usize| (0..8).map(EventId).find(|&e| route(e, 2) == shard).unwrap();
+        let tau = BurstSpan::new(10).unwrap();
+        let point = |event| QueryRequest::Point { event, t: Timestamp(40), tau };
+        let view = epochs.view();
+        let mut answered = Vec::new();
+        // Publishes caught half-way: cell 0 moves on, and cell 1 follows
+        // only after the reader asked it (the sleep makes it likely that
+        // the reader is already waiting; the assertions hold either way).
+        for generation in 2..6u64 {
+            epochs.cells[0].publish(watermark, finalized(0));
+            view.query(&point(owned_by(0))).unwrap();
+            answered.push(view.answer_generation());
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                    epochs.cells[1].publish(watermark, finalized(1));
+                });
+                view.query(&point(owned_by(1))).unwrap();
+                answered.push(view.answer_generation());
+            });
+            assert_eq!(answered[answered.len() - 2..], [generation, generation]);
+        }
+        assert!(answered.windows(2).all(|w| w[0] <= w[1]), "{answered:?}");
+    }
+
+    #[test]
     fn epoch_metrics_surface_published_and_retries() {
         let det = plain();
         let epochs = DetectorEpochs::new(&det);
@@ -756,6 +829,8 @@ mod tests {
             for _ in 0..n {
                 *published += 1;
                 let wm = Watermark { arrivals: *published, last_ts: None };
+                // The production publish sequence: retire, then publish.
+                cell.retire_next();
                 assert_eq!(cell.publish(wm, Arc::new(*published)), *published);
             }
         };
